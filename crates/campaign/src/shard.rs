@@ -105,6 +105,45 @@ fn model_from_label(label: &str) -> Result<BugModel, String> {
         .ok_or_else(|| format!("unknown bug model label {label:?}"))
 }
 
+/// An artifact's lines, counting how many are left so a section's
+/// declared length is checked against the input before anything is
+/// allocated for it.
+struct Lines<'a> {
+    it: std::str::Lines<'a>,
+    left: usize,
+}
+
+impl<'a> Lines<'a> {
+    fn expect(&mut self, what: &str) -> Result<&'a str, String> {
+        let line = self
+            .it
+            .next()
+            .ok_or_else(|| format!("artifact truncated before {what}"))?;
+        self.left -= 1;
+        Ok(line)
+    }
+
+    /// Reads a `<tag> <n>` section header. Every item takes at least one
+    /// line, so an `n` beyond the lines left is rejected here: a hostile
+    /// count must fail, not size an allocation that aborts the process.
+    fn section(&mut self, tag: &str) -> Result<usize, String> {
+        let line = self.expect(tag)?;
+        let n: usize = line
+            .strip_prefix(tag)
+            .and_then(|r| r.strip_prefix(' '))
+            .ok_or_else(|| format!("expected {tag:?} section, got {line:?}"))?
+            .parse()
+            .map_err(|e| format!("{tag} count in {line:?}: {e}"))?;
+        if n > self.left {
+            return Err(format!(
+                "{tag} section declares {n} entries but only {} line(s) follow",
+                self.left
+            ));
+        }
+        Ok(n)
+    }
+}
+
 /// Deserializes a shard artifact.
 ///
 /// # Errors
@@ -112,16 +151,14 @@ fn model_from_label(label: &str) -> Result<BugModel, String> {
 /// Any structural deviation is an error naming the offending line — a
 /// truncated or mis-versioned artifact must never merge silently.
 pub fn decode_shard(s: &str) -> Result<ShardArtifact, String> {
-    let mut lines = s.lines();
-    let mut expect = |what: &str| {
-        lines
-            .next()
-            .ok_or_else(|| format!("artifact truncated before {what}"))
+    let mut lines = Lines {
+        it: s.lines(),
+        left: s.lines().count(),
     };
-    if expect("the format tag")? != MAGIC {
+    if lines.expect("the format tag")? != MAGIC {
         return Err(format!("artifact does not start with {MAGIC:?}"));
     }
-    let header = expect("the shard header")?;
+    let header = lines.expect("the shard header")?;
     let (shard, shards) = match header
         .strip_prefix("shard ")
         .and_then(|r| r.split_once(' '))
@@ -134,13 +171,13 @@ pub fn decode_shard(s: &str) -> Result<ShardArtifact, String> {
         ),
         None => return Err(format!("malformed shard header {header:?}")),
     };
-    let wall = expect("wall_us")?;
+    let wall = lines.expect("wall_us")?;
     let wall_us = wall
         .strip_prefix("wall_us ")
         .ok_or_else(|| format!("malformed wall line {wall:?}"))?
         .parse::<u128>()
         .map_err(|e| format!("wall_us in {wall:?}: {e}"))?;
-    let stats_line = expect("stats")?;
+    let stats_line = lines.expect("stats")?;
     let nums: Vec<&str> = stats_line
         .strip_prefix("stats ")
         .ok_or_else(|| format!("malformed stats line {stats_line:?}"))?
@@ -168,18 +205,10 @@ pub fn decode_shard(s: &str) -> Result<ShardArtifact, String> {
         },
     };
 
-    let count = |line: &str, tag: &str| -> Result<usize, String> {
-        line.strip_prefix(tag)
-            .and_then(|r| r.strip_prefix(' '))
-            .ok_or_else(|| format!("expected {tag:?} section, got {line:?}"))?
-            .parse()
-            .map_err(|e| format!("{tag} count in {line:?}: {e}"))
-    };
-
-    let n = count(expect("records")?, "records")?;
+    let n = lines.section("records")?;
     let mut records = Vec::with_capacity(n);
     for _ in 0..n {
-        let line = expect("a record line")?;
+        let line = lines.expect("a record line")?;
         let (job, row) = line
             .split_once(' ')
             .ok_or_else(|| format!("malformed record line {line:?}"))?;
@@ -189,10 +218,10 @@ pub fn decode_shard(s: &str) -> Result<ShardArtifact, String> {
         records.push((job, row.to_string()));
     }
 
-    let n = count(expect("timings")?, "timings")?;
+    let n = lines.section("timings")?;
     let mut timings = Vec::with_capacity(n);
     for _ in 0..n {
-        let line = expect("a timing line")?;
+        let line = lines.expect("a timing line")?;
         let f: Vec<&str> = line.split(',').collect();
         if f.len() != 6 {
             return Err(format!("timing line needs 6 fields: {line:?}"));
@@ -211,17 +240,17 @@ pub fn decode_shard(s: &str) -> Result<ShardArtifact, String> {
         });
     }
 
-    let n = count(expect("cells")?, "cells")?;
+    let n = lines.section("cells")?;
     let mut cells = Vec::with_capacity(n);
     for _ in 0..n {
-        let line = expect("a cell header")?;
+        let line = lines.expect("a cell header")?;
         let scope = line
             .strip_prefix("cell ")
             .ok_or_else(|| format!("expected a cell header, got {line:?}"))?
             .to_string();
         let mut kv = String::new();
         loop {
-            let line = expect("a cell body line")?;
+            let line = lines.expect("a cell body line")?;
             if line == "endcell" {
                 break;
             }
@@ -232,7 +261,7 @@ pub fn decode_shard(s: &str) -> Result<ShardArtifact, String> {
             MetricsRegistry::from_kv(&kv).map_err(|e| format!("metrics of cell {scope:?}: {e}"))?;
         cells.push((scope, registry));
     }
-    if lines.next().is_some() {
+    if lines.left > 0 {
         return Err("trailing data after the cells section".to_string());
     }
     Ok(ShardArtifact {
@@ -568,5 +597,23 @@ mod tests {
         ] {
             assert!(decode_shard(bad).is_err(), "must reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn decode_rejects_counts_beyond_the_input_without_allocating() {
+        // Each declares more entries than lines follow. Sized by the
+        // declared count, the first three would ask for petabytes and
+        // abort the process instead of returning.
+        let head = format!("{MAGIC}\nshard 0 2\nwall_us 1\nstats 0 0 0 0 0 0 0 0 0\n");
+        for tail in [
+            "records 100000000000000\n",
+            "records 0\ntimings 100000000000000\n",
+            "records 0\ntimings 0\ncells 100000000000000\n",
+            "records 2\n0 a\n",
+        ] {
+            let err = decode_shard(&format!("{head}{tail}")).expect_err(tail);
+            assert!(err.contains("declares"), "{err}");
+        }
+        assert!(decode_shard(&format!("{head}records 0\ntimings 0\ncells 0\n")).is_ok());
     }
 }

@@ -11,6 +11,12 @@
 //! - a worker silent for [`STALE_BEATS`](crate::env::STALE_BEATS)
 //!   heartbeat intervals loses its claim to the next worker that asks —
 //!   even with the connection nominally open (hung host, dead NAT entry);
+//! - a `NEXT` that finds nothing claimable is held, not answered with
+//!   `WAIT`: the handler sleeps on the ledger's condition variable, which
+//!   every completion, release and disconnect signals, and re-claims on
+//!   each wake-up and at least once per heartbeat (the staleness bound
+//!   is time-driven, so only the timeout can make a silent worker's
+//!   shard stealable);
 //! - an uploaded artifact is decoded and validated *before* the shard is
 //!   counted done, and persisted to `dir/shard-<i>.part` under the ledger
 //!   lock, so a `.part` file on disk is always a complete, decodable
@@ -30,7 +36,7 @@ use idld_obs::MetricsRegistry;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Coordinator parameters.
@@ -67,10 +73,16 @@ pub struct ServeOutcome {
 
 struct Shared {
     ledger: Mutex<ShardLedger>,
+    /// Signalled whenever the ledger or `active` changes in a way a
+    /// waiter might be waiting for: a shard completes or is released, or
+    /// a connection ends.
+    changed: Condvar,
     dir: PathBuf,
     base: JobSpec,
     heartbeat_ms: u64,
     verbose: bool,
+    /// Live connection handlers; decremented only under the ledger lock
+    /// so a waiter on `changed` cannot miss the last one.
     active: AtomicUsize,
     next_worker: AtomicU64,
 }
@@ -79,7 +91,57 @@ impl Shared {
     fn stale_after(&self) -> Duration {
         Duration::from_millis(self.heartbeat_ms * STALE_BEATS as u64)
     }
+
+    fn lock(&self) -> MutexGuard<'_, ShardLedger> {
+        self.ledger.lock().expect("ledger lock")
+    }
+
+    /// Waits on `changed` for at most `timeout`, returning the re-taken
+    /// guard.
+    fn wait<'a>(
+        &self,
+        ledger: MutexGuard<'a, ShardLedger>,
+        timeout: Duration,
+    ) -> MutexGuard<'a, ShardLedger> {
+        self.changed
+            .wait_timeout(ledger, timeout)
+            .expect("ledger lock")
+            .0
+    }
+
+    /// Answers a `NEXT`: `Some(shard)` to run, or `None` once every
+    /// shard is done. Until either holds, the request is held and
+    /// re-claimed on every wake-up — a completion or release wakes it at
+    /// once, and the heartbeat timeout lets a shard that has just gone
+    /// stale be stolen within one interval of the staleness bound.
+    fn claim_held(&self, worker: u64) -> Option<usize> {
+        let heartbeat = Duration::from_millis(self.heartbeat_ms);
+        let mut ledger = self.lock();
+        loop {
+            match ledger.claim(worker, Instant::now(), self.stale_after()) {
+                Claim::Assign(shard) => return Some(shard),
+                Claim::Finished => return None,
+                Claim::Wait => ledger = self.wait(ledger, heartbeat),
+            }
+        }
+    }
+
+    /// A connection handler is finished: requeue whatever its worker
+    /// still held and wake every waiter.
+    fn disconnect(&self, worker: u64) {
+        let mut ledger = self.lock();
+        let released = ledger.release(worker);
+        self.active.fetch_sub(1, Ordering::SeqCst);
+        drop(ledger);
+        self.changed.notify_all();
+        if !released.is_empty() {
+            eprintln!("netd: worker {worker} lost; shard(s) {released:?} requeued");
+        }
+    }
 }
+
+/// How often `serve` looks for a new connection while it waits.
+const ACCEPT_POLL: Duration = Duration::from_millis(20);
 
 /// Runs a campaign's dispatch loop on `listener` until every shard has a
 /// persisted artifact, then returns. Workers may connect, die, and
@@ -116,6 +178,7 @@ pub fn serve(listener: TcpListener, opts: ServeOpts) -> Result<ServeOutcome, Str
 
     let shared = Arc::new(Shared {
         ledger: Mutex::new(ledger),
+        changed: Condvar::new(),
         dir: opts.dir,
         base: opts.base,
         heartbeat_ms: opts.heartbeat_ms,
@@ -124,10 +187,13 @@ pub fn serve(listener: TcpListener, opts: ServeOpts) -> Result<ServeOutcome, Str
         next_worker: AtomicU64::new(1),
     });
 
+    // The standard library has no way to wait on a listener and a
+    // condition variable at once, so new connections are polled for
+    // between waits; the last completion still ends the loop at once.
     listener
         .set_nonblocking(true)
         .map_err(|e| format!("listener nonblocking: {e}"))?;
-    while !shared.ledger.lock().expect("ledger lock").all_done() {
+    while !shared.lock().all_done() {
         match listener.accept() {
             Ok((stream, peer)) => {
                 let worker = shared.next_worker.fetch_add(1, Ordering::Relaxed);
@@ -138,11 +204,14 @@ pub fn serve(listener: TcpListener, opts: ServeOpts) -> Result<ServeOutcome, Str
                 sh.active.fetch_add(1, Ordering::SeqCst);
                 std::thread::spawn(move || {
                     handle(&sh, stream, worker);
-                    sh.active.fetch_sub(1, Ordering::SeqCst);
+                    sh.disconnect(worker);
                 });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
+                let ledger = shared.lock();
+                if !ledger.all_done() {
+                    drop(shared.wait(ledger, ACCEPT_POLL));
+                }
             }
             Err(e) => return Err(format!("accept: {e}")),
         }
@@ -154,20 +223,23 @@ pub fn serve(listener: TcpListener, opts: ServeOpts) -> Result<ServeOutcome, Str
     // every shard is complete).
     let deadline =
         Instant::now() + Duration::from_millis(shared.heartbeat_ms * 4).max(Duration::from_secs(2));
-    while shared.active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
+    let mut ledger = shared.lock();
+    while shared.active.load(Ordering::SeqCst) > 0 {
+        let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+            break;
+        };
+        ledger = shared.wait(ledger, left);
     }
 
-    let ledger = shared.ledger.lock().expect("ledger lock");
     Ok(ServeOutcome {
         resumed,
         metrics: ledger.metrics().clone(),
     })
 }
 
-/// One connection's message loop. Any error path releases the worker's
-/// claims; replies are only ever written from this thread, so frames
-/// never interleave.
+/// One connection's message loop. On return, [`Shared::disconnect`]
+/// releases the worker's claims; replies are only ever written from this
+/// thread, so frames never interleave.
 fn handle(sh: &Shared, mut stream: TcpStream, worker: u64) {
     let _ = stream.set_nodelay(true);
     // Generous read timeout: a healthy worker produces traffic every
@@ -218,7 +290,7 @@ fn handle(sh: &Shared, mut stream: TcpStream, worker: u64) {
         }
     }
     {
-        let mut ledger = sh.ledger.lock().expect("ledger lock");
+        let mut ledger = sh.lock();
         ledger.metrics_mut().incr("workers_connected");
     }
     if !send(
@@ -248,13 +320,8 @@ fn handle(sh: &Shared, mut stream: TcpStream, worker: u64) {
         };
         match msg {
             Message::Next => {
-                let claim = sh.ledger.lock().expect("ledger lock").claim(
-                    worker,
-                    Instant::now(),
-                    sh.stale_after(),
-                );
-                let reply = match claim {
-                    Claim::Assign(shard) => {
+                let reply = match sh.claim_held(worker) {
+                    Some(shard) => {
                         if sh.verbose {
                             eprintln!("netd: shard {shard} -> worker {worker}");
                         }
@@ -262,17 +329,14 @@ fn handle(sh: &Shared, mut stream: TcpStream, worker: u64) {
                         spec.shard = shard;
                         Message::Job(spec)
                     }
-                    Claim::Wait => Message::Wait {
-                        ms: sh.heartbeat_ms,
-                    },
-                    Claim::Finished => Message::Done,
+                    None => Message::Done,
                 };
                 if !send(&mut stream, &reply) {
                     break;
                 }
             }
             Message::Beat => {
-                let mut ledger = sh.ledger.lock().expect("ledger lock");
+                let mut ledger = sh.lock();
                 ledger.beat(worker, Instant::now());
                 ledger.metrics_mut().incr("heartbeats");
             }
@@ -281,10 +345,7 @@ fn handle(sh: &Shared, mut stream: TcpStream, worker: u64) {
                 completed,
                 total,
             } => {
-                sh.ledger
-                    .lock()
-                    .expect("ledger lock")
-                    .beat(worker, Instant::now());
+                sh.lock().beat(worker, Instant::now());
                 if sh.verbose {
                     eprintln!("netd: worker {worker} shard {shard}: {completed}/{total} runs");
                 }
@@ -306,11 +367,6 @@ fn handle(sh: &Shared, mut stream: TcpStream, worker: u64) {
                 break;
             }
         }
-    }
-
-    let released = sh.ledger.lock().expect("ledger lock").release(worker);
-    if !released.is_empty() {
-        eprintln!("netd: worker {worker} lost; shard(s) {released:?} requeued");
     }
 }
 
@@ -336,7 +392,7 @@ fn accept_artifact(sh: &Shared, worker: u64, shard: usize, body: &str) -> Messag
             ),
         };
     }
-    let mut ledger = sh.ledger.lock().expect("ledger lock");
+    let mut ledger = sh.lock();
     if ledger.is_done(shard) {
         ledger.complete(shard, art.wall_us); // counts the duplicate
         if sh.verbose {
@@ -351,6 +407,8 @@ fn accept_artifact(sh: &Shared, worker: u64, shard: usize, body: &str) -> Messag
         };
     }
     ledger.complete(shard, art.wall_us);
+    drop(ledger);
+    sh.changed.notify_all();
     if sh.verbose {
         eprintln!(
             "netd: shard {shard} complete ({} records, worker {worker}) -> {}",

@@ -116,7 +116,9 @@ pub enum Message {
     Next,
     /// Coordinator assigns a shard.
     Job(JobSpec),
-    /// Nothing to hand out yet; ask again in `ms` milliseconds.
+    /// Nothing to hand out yet; ask again in `ms` milliseconds. Part of
+    /// the grammar, and obeyed by the worker, but the coordinator in this
+    /// crate holds a `NEXT` until it can answer `JOB` or `DONE` instead.
     Wait { ms: u64 },
     /// Every shard is complete; the worker may disconnect.
     Done,

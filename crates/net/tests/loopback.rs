@@ -1,7 +1,8 @@
 //! In-process loopback service tests: real campaigns over real TCP
 //! sockets, with worker failure, duplicate rejection, handshake
-//! versioning, and coordinator resume — and the tentpole's proof
-//! obligation, byte-identical merges, checked end to end.
+//! versioning, coordinator resume, hostile artifacts and held `NEXT`
+//! requests — and the service's proof obligation, byte-identical merges,
+//! checked end to end.
 
 use idld_campaign::ledger::part_path;
 use idld_campaign::{
@@ -10,6 +11,7 @@ use idld_campaign::{
 use idld_net::{serve, JobSpec, Message, ServeOpts, ServeOutcome, WorkerOpts};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 const WORKLOADS: &str = "crc32,basicmath";
 
@@ -62,22 +64,85 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn serve_on(
-    dir: &Path,
-    shards: usize,
-    resume: bool,
-) -> (std::net::SocketAddr, std::thread::JoinHandle<ServeOutcome>) {
+type Served = (std::net::SocketAddr, std::thread::JoinHandle<ServeOutcome>);
+
+fn serve_on(dir: &Path, shards: usize, resume: bool) -> Served {
+    serve_with_heartbeat(dir, shards, resume, 50)
+}
+
+fn serve_with_heartbeat(dir: &Path, shards: usize, resume: bool, heartbeat_ms: u64) -> Served {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
     let opts = ServeOpts {
         base: base_spec(shards),
         dir: dir.to_path_buf(),
-        heartbeat_ms: 50,
+        heartbeat_ms,
         resume,
         verbose: false,
     };
     let handle = std::thread::spawn(move || serve(listener, opts).expect("serve"));
     (addr, handle)
+}
+
+/// A hand-driven worker connection, for tests that must control exactly
+/// which frames reach the coordinator and when (it sends no BEATs).
+struct Peer(TcpStream);
+
+impl Peer {
+    fn connect(addr: std::net::SocketAddr) -> Peer {
+        let mut peer = Peer(TcpStream::connect(addr).expect("connect"));
+        peer.send(&idld_net::hello());
+        match peer.recv() {
+            Message::Welcome { .. } => peer,
+            other => panic!("expected WELCOME, got {other:?}"),
+        }
+    }
+
+    fn send(&mut self, msg: &Message) {
+        idld_net::write_frame(&mut self.0, &msg.encode()).expect("send");
+    }
+
+    fn recv(&mut self) -> Message {
+        let frame = idld_net::read_frame(&mut self.0).expect("reply");
+        Message::decode(&frame).expect("reply decodes")
+    }
+
+    /// The next message, or `None` if none arrives within `timeout`.
+    fn recv_within(&mut self, timeout: Duration) -> Option<Message> {
+        self.0
+            .set_read_timeout(Some(timeout))
+            .expect("read timeout");
+        let reply = match idld_net::read_frame(&mut self.0) {
+            Ok(frame) => Some(Message::decode(&frame).expect("reply decodes")),
+            Err(idld_net::FrameError::Io(e))
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                None
+            }
+            Err(e) => panic!("recv: {e}"),
+        };
+        self.0.set_read_timeout(None).expect("read timeout");
+        reply
+    }
+
+    /// Uploads `body` for `shard` and expects it accepted, then expects
+    /// `DONE` for the next `NEXT`.
+    fn finish(&mut self, shard: usize, body: String) {
+        self.send(&Message::Artifact { shard, body });
+        assert!(matches!(self.recv(), Message::ArtifactOk { .. }));
+        self.send(&Message::Next);
+        assert!(matches!(self.recv(), Message::Done));
+    }
+}
+
+fn job_shard(msg: Message) -> usize {
+    match msg {
+        Message::Job(spec) => spec.shard,
+        other => panic!("expected JOB, got {other:?}"),
+    }
 }
 
 fn merge_dir(dir: &Path, shards: usize) -> idld_campaign::MergedCampaign {
@@ -287,5 +352,172 @@ fn handshake_rejects_mismatched_versions() {
     .join()
     .expect("thread");
     coordinator.join().expect("coordinator thread");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn hostile_artifact_counts_are_refused_and_the_coordinator_survives() {
+    let dir = temp_dir("hostile");
+    let shards = 2;
+    let (addr, coordinator) = serve_on(&dir, shards, false);
+    let opts = WorkerOpts {
+        heartbeat_ms: 50,
+        retry_max: 8,
+    };
+    // Five lines declaring 10^14 records: sized by that count, the decode
+    // would abort the coordinator with a failed allocation.
+    let hostile = {
+        let addr = addr.to_string();
+        let opts = opts.clone();
+        std::thread::spawn(move || {
+            idld_net::run_worker(&addr, &opts, |spec, _| {
+                Ok(format!(
+                    "{}\nshard {} {}\nwall_us 0\nstats 0 0 0 0 0 0 0 0 0\nrecords 100000000000000\n",
+                    idld_campaign::SHARD_MAGIC,
+                    spec.shard,
+                    spec.shards
+                ))
+            })
+        })
+    };
+    let err = hostile.join().expect("thread").expect_err("refused");
+    assert!(err.contains("artifact rejected"), "{err}");
+    let survivor = {
+        let addr = addr.to_string();
+        std::thread::spawn(move || {
+            idld_net::run_worker(&addr, &opts, |spec, _| run_shard(spec)).expect("worker")
+        })
+    };
+    let outcome = coordinator.join().expect("coordinator thread");
+    assert_eq!(survivor.join().expect("thread").completed, shards);
+    assert_eq!(outcome.metrics.counter("artifacts_accepted"), shards as u64);
+
+    let merged = merge_dir(&dir, shards);
+    let (records, metrics) = single_process();
+    assert_eq!(merged.records_csv(), records);
+    assert_eq!(merged.metrics_csv(), metrics);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// With a 5-second heartbeat, any fixed heartbeat-length sleep left on
+/// the dispatch or shutdown path (a `WAIT` reply, a heartbeat thread that
+/// finishes its interval before exiting) costs at least 5 s. Instant
+/// workers must instead be done in a fraction of one interval.
+#[test]
+fn service_latency_does_not_scale_with_the_heartbeat() {
+    let dir = temp_dir("latency");
+    let shards = 2;
+    let heartbeat_ms = 5000;
+    let bodies: Vec<String> = (0..shards)
+        .map(|shard| {
+            run_shard(&JobSpec {
+                shard,
+                ..base_spec(shards)
+            })
+            .expect("shard runs")
+        })
+        .collect();
+    let t0 = Instant::now();
+    let (addr, coordinator) = serve_with_heartbeat(&dir, shards, false, heartbeat_ms);
+    let opts = WorkerOpts {
+        heartbeat_ms,
+        retry_max: 8,
+    };
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            let addr = addr.to_string();
+            let opts = opts.clone();
+            let bodies = bodies.clone();
+            std::thread::spawn(move || {
+                idld_net::run_worker(&addr, &opts, |spec, _| Ok(bodies[spec.shard].clone()))
+                    .expect("worker")
+            })
+        })
+        .collect();
+    let outcome = coordinator.join().expect("coordinator thread");
+    let done: usize = workers
+        .into_iter()
+        .map(|w| w.join().expect("worker thread").completed)
+        .sum();
+    let elapsed = t0.elapsed();
+    assert_eq!(done, shards);
+    assert_eq!(outcome.metrics.counter("artifacts_accepted"), shards as u64);
+    assert!(
+        elapsed < Duration::from_millis(2500),
+        "serve and both workers took {elapsed:?} at a {heartbeat_ms} ms heartbeat"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn held_next_receives_a_released_shard_at_once() {
+    let dir = temp_dir("held-release");
+    let heartbeat = Duration::from_millis(1000);
+    let body = run_shard(&base_spec(1)).expect("shard runs");
+    let (addr, coordinator) = serve_with_heartbeat(&dir, 1, false, heartbeat.as_millis() as u64);
+
+    let mut holder = Peer::connect(addr);
+    holder.send(&Message::Next);
+    assert_eq!(job_shard(holder.recv()), 0);
+    let mut waiter = Peer::connect(addr);
+    waiter.send(&Message::Next);
+    assert!(
+        waiter.recv_within(Duration::from_millis(300)).is_none(),
+        "nothing is claimable, so the NEXT is held"
+    );
+
+    // The holder's disconnect requeues shard 0, which must reach the held
+    // NEXT without another request and well inside one heartbeat.
+    let t0 = Instant::now();
+    drop(holder);
+    let reply = waiter.recv_within(heartbeat * 5).expect("a reply");
+    let waited = t0.elapsed();
+    assert_eq!(job_shard(reply), 0);
+    assert!(waited < heartbeat / 2, "released shard took {waited:?}");
+    waiter.finish(0, body);
+    drop(waiter);
+
+    let outcome = coordinator.join().expect("coordinator thread");
+    assert_eq!(outcome.metrics.counter("shards_retried"), 1);
+    assert_eq!(outcome.metrics.counter("workers_lost"), 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn held_next_receives_a_stale_shard_within_a_heartbeat_of_the_bound() {
+    let dir = temp_dir("held-stale");
+    let heartbeat = Duration::from_millis(200);
+    let stale_after = heartbeat * idld_net::env::STALE_BEATS;
+    let body = run_shard(&base_spec(1)).expect("shard runs");
+    let (addr, coordinator) = serve_with_heartbeat(&dir, 1, false, heartbeat.as_millis() as u64);
+
+    // The holder claims shard 0 and then falls silent with its
+    // connection open.
+    let mut holder = Peer::connect(addr);
+    let t0 = Instant::now();
+    holder.send(&Message::Next);
+    assert_eq!(job_shard(holder.recv()), 0);
+    let claimed = t0.elapsed();
+    let mut thief = Peer::connect(addr);
+    thief.send(&Message::Next);
+    let reply = thief.recv_within(stale_after * 5).expect("a reply");
+    let waited = t0.elapsed();
+    assert_eq!(job_shard(reply), 0);
+    assert!(
+        waited > stale_after,
+        "stolen after {waited:?}, before the bound"
+    );
+    // One heartbeat of re-claim latency, plus slack for a loaded host.
+    let latest = claimed + stale_after + heartbeat + Duration::from_millis(500);
+    assert!(
+        waited < latest,
+        "stolen after {waited:?}, later than {latest:?}"
+    );
+    thief.finish(0, body);
+    drop((holder, thief));
+
+    let outcome = coordinator.join().expect("coordinator thread");
+    assert_eq!(outcome.metrics.counter("shards_retried"), 1);
+    assert_eq!(outcome.metrics.counter("shards_dispatched"), 2);
     std::fs::remove_dir_all(&dir).ok();
 }
